@@ -30,12 +30,12 @@ import common
 
 from repro.analysis.metrics import gap_coverage
 from repro.exec.engine import run_replay_parallel
+from repro.exec.telemetry import aggregate_telemetry, session_records
 from repro.netmodel.conditions import LinkState
 from repro.netmodel.scenarios import WEEK_S, Scenario, generate_timeline
 from repro.netmodel.topologies import coast_to_coast_flows
 from repro.obs import Observability
 from repro.routing.registry import make_policy
-from repro.simulation import kernel
 from repro.simulation.results import ReplayConfig
 from repro.topogen import generate_topology
 from repro.util.tables import render_table
@@ -134,13 +134,10 @@ def test_e11_topology_scaling(benchmark):
         replays = {size: _replay_point(size) for size in REPLAY_SIZES}
         return scaling, replays
 
-    kernel_before = kernel.counters()
+    mark = len(session_records())
     scaling, replays = benchmark.pedantic(sweep, rounds=1, iterations=1)
-    kernel_delta = kernel.counters_delta(kernel_before, kernel.counters())
-    common.stage_metrics(
-        kernel_backend=kernel.active_backend(),
-        **{f"kernel_{name}": value for name, value in kernel_delta.items()},
-    )
+    totals = aggregate_telemetry(session_records()[mark:])
+    common.stage_metrics(kernel_backend=totals.kernel_backend, **totals.counters)
     for size, point in scaling.items():
         common.stage_metrics(
             **{f"n{size}_{name}": value for name, value in point.items()}

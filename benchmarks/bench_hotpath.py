@@ -357,7 +357,7 @@ def test_hotpath_bitwise_identity_and_speedup(benchmark):
         # The reference is the seed's fused loop, so the comparison runs
         # on the bitwise-identical pure backend; the vector backend is
         # guarded separately below under its reassociation tolerance.
-        with kernel.force_backend("pure"):
+        with kernel._force_backend("pure"):
             started = time.perf_counter()
             reference = _reference_replay(
                 topology, timeline, flows, service, config
@@ -414,7 +414,7 @@ def test_hotpath_bitwise_identity_and_speedup(benchmark):
                 ["per-group baseline", f"{100 * per_group_rate:.1f} %"],
                 ["shared hits", str(cache.shared_hits)],
                 ["mask hits", str(cache.mask_hits)],
-                ["evictions", str(cache.evictions)],
+                ["evictions", str(cache.evicted)],
             ],
         )
     )
@@ -427,13 +427,13 @@ def test_hotpath_bitwise_identity_and_speedup(benchmark):
         per_group_baseline_hit_rate=per_group_rate,
         shared_hits=cache.shared_hits,
         mask_hits=cache.mask_hits,
-        evictions=cache.evictions,
+        evictions=cache.evicted,
     )
 
     # 4) the vectorized kernel: harvest the accumulation stream the replay
     #    actually performs, keep its kernel-bound subset (classifications
     #    large enough for the vector path), and time it on both backends.
-    with kernel.force_backend("pure"):
+    with kernel._force_backend("pure"):
         stream = _harvest_kernel_stream(
             topology, timeline, flows, service, config
         )
@@ -443,7 +443,7 @@ def test_hotpath_bitwise_identity_and_speedup(benchmark):
         if len(classes) >= kernel.VECTOR_MIN_CASES
     ]
     bound_rows = sum(len(rows) for _classes, rows in bound)
-    with kernel.force_backend("pure"):
+    with kernel._force_backend("pure"):
         started = time.perf_counter()
         pure_totals = _replay_kernel_stream(bound)
         pure_wall = time.perf_counter() - started
@@ -451,7 +451,7 @@ def test_hotpath_bitwise_identity_and_speedup(benchmark):
     kernel_speedup = None
     worst_divergence = None
     if kernel.numpy_available() and bound:
-        with kernel.force_backend("numpy"):
+        with kernel._force_backend("numpy"):
             started = time.perf_counter()
             numpy_totals = _replay_kernel_stream(bound)
             numpy_wall = time.perf_counter() - started

@@ -75,9 +75,10 @@ from repro.exec.engine import run_replay_parallel
 from repro.netmodel.trace import load_timeline, write_trace
 from repro.routing.registry import STANDARD_SCHEME_NAMES
 from repro.simulation import kernel
+from repro.simulation.reliability import ReliabilityLimitError
 from repro.simulation.results import ReplayConfig
 from repro.util.logging import LOG_LEVELS, configure_logging, get_logger
-from repro.util.validation import fail, require
+from repro.util.validation import require
 
 __all__ = ["main"]
 
@@ -108,30 +109,6 @@ def _add_obs_arguments(parser: argparse.ArgumentParser) -> None:
         help="directory for trace.json / spans.jsonl / manifest.json "
         "(default: trace-out)",
     )
-
-
-def _add_kernel_argument(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--kernel",
-        choices=("auto", "numpy", "pure"),
-        help="probability-accumulation backend (default: $REPRO_KERNEL or "
-        "auto, which picks numpy when importable); exported to worker "
-        "processes",
-    )
-
-
-def _apply_kernel_choice(args: argparse.Namespace) -> None:
-    """Pin the accumulation backend when ``--kernel`` was given.
-
-    Left unset, the environment (``$REPRO_KERNEL``) keeps authority --
-    the flag must not silently override an operator's pin with ``auto``.
-    """
-    if getattr(args, "kernel", None) is None:
-        return
-    try:
-        kernel.set_backend(args.kernel)
-    except ValueError as error:
-        fail(str(error))
 
 
 def _scenario(args: argparse.Namespace) -> Scenario:
@@ -220,7 +197,6 @@ def _cmd_generate_trace(args: argparse.Namespace) -> int:
 def _cmd_evaluate(args: argparse.Namespace) -> int:
     import time
 
-    _apply_kernel_choice(args)
     timings: dict[str, float] = {}
     resolve_start = time.perf_counter()
     workload = _workload(args)
@@ -803,8 +779,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     from repro.serve import ServeConfig, serve_main
 
-    _apply_kernel_choice(args)
-
     config = ServeConfig(
         host=args.host,
         port=args.port,
@@ -1062,7 +1036,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=5.0,
         help="sampling period of --profile in milliseconds (default: 5)",
     )
-    _add_kernel_argument(evaluate)
     evaluate.set_defaults(handler=_cmd_evaluate)
 
     classify = subparsers.add_parser(
@@ -1333,7 +1306,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="serve without the content-addressed disk cache",
     )
-    _add_kernel_argument(serve)
     serve.set_defaults(handler=_cmd_serve)
 
     client = subparsers.add_parser(
@@ -1431,9 +1403,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     configure_logging(args.log_level)
     try:
         return args.handler(args)
-    except (ValueError, OSError) as error:
-        # Bad arguments or unreadable/unwritable inputs (missing trace,
-        # permission-denied cache directory, ...): one line, no traceback.
+    except (ValueError, OSError, ReliabilityLimitError) as error:
+        # Bad arguments, unreadable/unwritable inputs (missing trace,
+        # permission-denied cache directory, ...) or a workload past the
+        # exact-enumeration cap: one line, no traceback.
         _LOG.error("%s", error)
         return 2
 

@@ -24,14 +24,16 @@ import contextvars
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import Iterator, Mapping, Sequence
 
+from repro.simulation import kernel
 from repro.util.tables import render_table
 
 __all__ = [
     "ExecTelemetry",
     "TelemetrySession",
     "aggregate_telemetry",
+    "counter_snapshot",
     "current_session",
     "record",
     "reset_session",
@@ -42,9 +44,50 @@ __all__ = [
 ]
 
 
+#: Replay-counter families: the prefix a family's counters carry in
+#: :attr:`ExecTelemetry.counters` and ``to_dict()``, mapped to the obs
+#: metric namespace and the summary-table label they appear under.
+_FAMILIES = {
+    "prob": ("exec.prob_cache", "prob-cache"),
+    "kernel": ("replay.kernel", "kernel"),
+}
+
+
+def counter_snapshot(probability_cache) -> dict[str, float]:
+    """Every replay counter right now, keyed ``<family>_<name>``.
+
+    The sources name their own counters -- the context's probability
+    memo (``_ProbabilityCache.counters()``) and the process-wide kernel
+    (:func:`repro.simulation.kernel.counters`) -- so a counter added at
+    its source reaches telemetry, manifests and metrics with no edit
+    anywhere downstream.
+    """
+    sources = {
+        "prob": probability_cache.counters(),
+        "kernel": kernel.counters(),
+    }
+    return {
+        f"{family}_{name}": value
+        for family, source in sources.items()
+        for name, value in source.items()
+    }
+
+
+def _describe(key: str) -> tuple[str, str, str]:
+    """``(metric namespace, summary label, counter name)`` of a key."""
+    family, _, name = key.partition("_")
+    namespace, label = _FAMILIES[family]
+    return namespace, label, name
+
+
 @dataclass
 class ExecTelemetry:
-    """Counters and timings of one execution-engine invocation."""
+    """Counters and timings of one execution-engine invocation.
+
+    ``counters`` holds the summed per-shard deltas of every replay
+    counter (see :func:`counter_snapshot`), keyed ``<family>_<name>``
+    (``prob_hits``, ``kernel_vector_rows``, ...).
+    """
 
     label: str = "replay"
     workers: int = 0
@@ -56,26 +99,30 @@ class ExecTelemetry:
     shards_fallback: int = 0
     cache_corrupt: int = 0
     cache_evicted: int = 0
-    prob_hits: int = 0
-    prob_misses: int = 0
-    prob_shared_hits: int = 0
-    prob_mask_hits: int = 0
-    prob_evicted: int = 0
     kernel_backend: str = "pure"
-    kernel_vector_calls: int = 0
-    kernel_pure_calls: int = 0
-    kernel_vector_rows: int = 0
-    kernel_pure_rows: int = 0
-    kernel_vector_s: float = 0.0
-    kernel_pure_s: float = 0.0
     wall_time_s: float = 0.0
     shard_wall_s: list[float] = field(default_factory=list)
+    counters: dict[str, float] = field(default_factory=dict)
+
+    def add_counters(self, delta: Mapping[str, float]) -> None:
+        """Fold one shard's (or one run's) counter deltas in."""
+        for name, value in delta.items():
+            self.counters[name] = self.counters.get(name, 0) + value
+
+    def counter_metrics(self) -> dict[str, float]:
+        """``counters`` under their obs metric names."""
+        metrics = {}
+        for key, value in self.counters.items():
+            namespace, _label, name = _describe(key)
+            metrics[f"{namespace}.{name}"] = value
+        return metrics
 
     @property
     def prob_hit_rate(self) -> float:
         """In-memory probability-cache hit rate over degraded lookups."""
-        lookups = self.prob_hits + self.prob_misses
-        return self.prob_hits / lookups if lookups else 0.0
+        hits = self.counters.get("prob_hits", 0)
+        lookups = hits + self.counters.get("prob_misses", 0)
+        return hits / lookups if lookups else 0.0
 
     @property
     def busy_s(self) -> float:
@@ -90,6 +137,17 @@ class ExecTelemetry:
             return 0.0
         return self.busy_s / (self.wall_time_s * slots)
 
+    def _counter_rows(self) -> list[list[str]]:
+        rows = []
+        for key, value in self.counters.items():
+            _namespace, label, name = _describe(key)
+            if name.endswith("_s"):
+                text = f"{name[:-2].replace('_', ' ')} time"
+                rows.append([f"{label} {text}", f"{value:.2f} s"])
+            else:
+                rows.append([f"{label} {name.replace('_', ' ')}", str(value)])
+        return rows
+
     def _rows(self) -> list[list[object]]:
         executed = self.shards_run + self.shards_fallback
         max_shard = max(self.shard_wall_s) if self.shard_wall_s else 0.0
@@ -102,27 +160,9 @@ class ExecTelemetry:
             ["serial fallbacks", str(self.shards_fallback)],
             ["corrupt cache entries", str(self.cache_corrupt)],
             ["cache entries evicted", str(self.cache_evicted)],
-            [
-                "prob-cache hits/misses",
-                f"{self.prob_hits}/{self.prob_misses} "
-                f"({100.0 * self.prob_hit_rate:.0f} %)",
-            ],
-            ["prob-cache shared hits", str(self.prob_shared_hits)],
-            ["prob-cache mask hits", str(self.prob_mask_hits)],
-            ["prob-cache evictions", str(self.prob_evicted)],
+            *self._counter_rows(),
+            ["prob-cache hit rate", f"{100.0 * self.prob_hit_rate:.0f} %"],
             ["kernel backend", self.kernel_backend],
-            [
-                "kernel calls (vector/pure)",
-                f"{self.kernel_vector_calls}/{self.kernel_pure_calls}",
-            ],
-            [
-                "kernel rows (vector/pure)",
-                f"{self.kernel_vector_rows}/{self.kernel_pure_rows}",
-            ],
-            [
-                "kernel time (vector/pure)",
-                f"{self.kernel_vector_s:.2f} / {self.kernel_pure_s:.2f} s",
-            ],
             ["workers", str(self.workers) if self.workers else "serial"],
             ["wall time", f"{self.wall_time_s:.2f} s"],
             ["shard time (mean/max)", f"{mean_shard:.2f} / {max_shard:.2f} s"],
@@ -150,19 +190,9 @@ class ExecTelemetry:
             "shards_fallback": self.shards_fallback,
             "cache_corrupt": self.cache_corrupt,
             "cache_evicted": self.cache_evicted,
-            "prob_hits": self.prob_hits,
-            "prob_misses": self.prob_misses,
-            "prob_shared_hits": self.prob_shared_hits,
-            "prob_mask_hits": self.prob_mask_hits,
-            "prob_evicted": self.prob_evicted,
+            **self.counters,
             "prob_hit_rate": self.prob_hit_rate,
             "kernel_backend": self.kernel_backend,
-            "kernel_vector_calls": self.kernel_vector_calls,
-            "kernel_pure_calls": self.kernel_pure_calls,
-            "kernel_vector_rows": self.kernel_vector_rows,
-            "kernel_pure_rows": self.kernel_pure_rows,
-            "kernel_vector_s": self.kernel_vector_s,
-            "kernel_pure_s": self.kernel_pure_s,
             "wall_time_s": self.wall_time_s,
             "busy_s": self.busy_s,
             "max_shard_s": max(self.shard_wall_s) if self.shard_wall_s else 0.0,
@@ -199,17 +229,7 @@ def aggregate_telemetry(
         total.shards_fallback += telemetry.shards_fallback
         total.cache_corrupt += telemetry.cache_corrupt
         total.cache_evicted += telemetry.cache_evicted
-        total.prob_hits += telemetry.prob_hits
-        total.prob_misses += telemetry.prob_misses
-        total.prob_shared_hits += telemetry.prob_shared_hits
-        total.prob_mask_hits += telemetry.prob_mask_hits
-        total.prob_evicted += telemetry.prob_evicted
-        total.kernel_vector_calls += telemetry.kernel_vector_calls
-        total.kernel_pure_calls += telemetry.kernel_pure_calls
-        total.kernel_vector_rows += telemetry.kernel_vector_rows
-        total.kernel_pure_rows += telemetry.kernel_pure_rows
-        total.kernel_vector_s += telemetry.kernel_vector_s
-        total.kernel_pure_s += telemetry.kernel_pure_s
+        total.add_counters(telemetry.counters)
         total.wall_time_s += telemetry.wall_time_s
         total.shard_wall_s.extend(telemetry.shard_wall_s)
     return total

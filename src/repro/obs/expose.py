@@ -70,10 +70,6 @@ def _format_value(value: float) -> str:
     return repr(float(value))
 
 
-def _escape_label(value: str) -> str:
-    return value.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
-
-
 def render_exposition(registry: MetricsRegistry) -> str:
     """The whole registry in Prometheus text format (name-sorted)."""
     lines: list[str] = []

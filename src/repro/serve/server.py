@@ -42,6 +42,7 @@ from repro.serve.scheduler import RequestRejected, Scheduler
 from repro.serve.schema import PROTOCOL_VERSION, make_event, parse_request
 from repro.serve.session import execute_request
 from repro.serve.state import ServeRuntime
+from repro.simulation.reliability import ReliabilityLimitError
 from repro.util.logging import get_logger
 from repro.util.validation import ValidationError
 
@@ -57,6 +58,11 @@ _MAX_BODY_BYTES = 1 << 20
 
 #: Per-read timeout while parsing a request (slowloris guard).
 _READ_TIMEOUT_S = 30.0
+
+#: Request failures the request itself caused: a 400 error event, logged
+#: without a traceback.  An exact-enumeration cap follows from the
+#: requested topology and schemes, so it belongs here too.
+_REQUEST_ERRORS = (ValidationError, ReliabilityLimitError)
 
 _REASONS = {
     200: "OK",
@@ -513,7 +519,7 @@ class EvalServer:
             outcome = await asyncio.to_thread(
                 execute_request, self.runtime, request, request_id, emit
             )
-        except ValidationError as error:
+        except _REQUEST_ERRORS as error:
             failure = error
         except Exception as error:  # noqa: BLE001 - contained per request
             _LOG.exception("request %s failed", request_id)
@@ -532,7 +538,7 @@ class EvalServer:
         if failure is not None or outcome is None:
             self.requests_failed += 1
             self.obs.metrics.counter("serve.requests.failed").inc()
-            code = 400 if isinstance(failure, ValidationError) else 500
+            code = 400 if isinstance(failure, _REQUEST_ERRORS) else 500
             await stream.send(
                 make_event("error", code=code, error=str(failure))
             )

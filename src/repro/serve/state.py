@@ -33,23 +33,12 @@ from repro.exec.hashing import context_key
 from repro.exec.plan import ShardContext
 from repro.netmodel.conditions import ConditionTimeline
 from repro.netmodel.topology import FlowSpec, ServiceSpec
+from repro.simulation.interval import _ProbabilityCache
 from repro.simulation.results import ReplayConfig
 from repro.topogen import Workload, resolve_workload
 from repro.util.validation import require
 
 __all__ = ["ContextCache", "ServeRuntime"]
-
-#: Probability-memo counters aggregated across warm contexts into
-#: ``serve.cache.prob_*`` metrics.
-_PROB_COUNTER_NAMES = (
-    "hits",
-    "misses",
-    "shared_hits",
-    "mask_hits",
-    "evictions",
-    "canonical_evictions",
-)
-
 
 class ContextCache:
     """LRU of warm :class:`ShardContext` objects, keyed by context key.
@@ -117,11 +106,10 @@ class ContextCache:
         """
         with self._lock:
             contexts = list(self._entries.values())
-        totals = dict.fromkeys(_PROB_COUNTER_NAMES, 0)
+        totals = dict.fromkeys(_ProbabilityCache.COUNTERS, 0)
         for context in contexts:
-            snapshot = context.probability_cache.counters()
-            for name in _PROB_COUNTER_NAMES:
-                totals[name] += snapshot.get(name, 0)
+            for name, value in context.probability_cache.counters().items():
+                totals[name] = totals.get(name, 0) + value
         return totals
 
 

@@ -195,8 +195,24 @@ class _ProbabilityCache:
     ``(hits - shared_hits) / (hits + misses)`` is the rate per-group keys
     would have achieved), ``mask_hits`` counts misses whose
     Dijkstra enumeration was skipped via a cached classification, and
-    ``evictions`` counts entries dropped by the byte bound.
+    ``evicted`` counts entries dropped by the byte bound,
+    ``canonical_evictions`` entries dropped from the canonical-graph memo
+    by its entry cap, and ``recovery_fallbacks`` hop-recovery misses
+    computed without recovery because the ternary enumeration cap bound.
     """
+
+    #: The health counters, by attribute name: :meth:`counters` snapshots
+    #: exactly these, and exec telemetry, run manifests, obs metrics and
+    #: the serve daemon carry whatever it returns.
+    COUNTERS = (
+        "hits",
+        "misses",
+        "shared_hits",
+        "mask_hits",
+        "evicted",
+        "canonical_evictions",
+        "recovery_fallbacks",
+    )
 
     def __init__(
         self,
@@ -241,7 +257,7 @@ class _ProbabilityCache:
         self.misses = 0
         self.shared_hits = 0
         self.mask_hits = 0
-        self.evictions = 0
+        self.evicted = 0
         self.canonical_evictions = 0
         self.recovery_fallbacks = 0
         # Single lock around lookup/insert/evict and counter updates; see
@@ -251,15 +267,7 @@ class _ProbabilityCache:
     def counters(self) -> dict[str, int]:
         """Snapshot of the health counters (for telemetry deltas)."""
         with self._lock:
-            return {
-                "hits": self.hits,
-                "misses": self.misses,
-                "shared_hits": self.shared_hits,
-                "mask_hits": self.mask_hits,
-                "evictions": self.evictions,
-                "canonical_evictions": self.canonical_evictions,
-                "recovery_fallbacks": self.recovery_fallbacks,
-            }
+            return {name: getattr(self, name) for name in self.COUNTERS}
 
     def _canonical_graph(
         self, topology: Topology, graph: DisseminationGraph
@@ -337,7 +345,7 @@ class _ProbabilityCache:
                 oldest = next(iter(self._entries))
                 _result, _owner, old_cost = self._entries.pop(oldest)
                 self._bytes -= old_cost
-                self.evictions += 1
+                self.evicted += 1
 
     def _clean_probabilities(
         self,

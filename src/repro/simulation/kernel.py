@@ -20,9 +20,9 @@ loop and selects between two interchangeable implementations:
   (identical multiplications, different summation tree), which is the
   documented tolerance contract (DESIGN.md S25).
 
-Backend choice is process-wide and sticky: ``$REPRO_KERNEL`` (``auto`` /
-``numpy`` / ``pure``) or :func:`set_backend` pin it, otherwise ``auto``
-resolves to ``numpy`` when importable.  Two determinism rules keep the
+The backend is not a setting: it is ``numpy`` whenever numpy can be
+imported and ``pure`` otherwise (tests reach either one through the
+private :func:`_force_backend` seam).  Two determinism rules keep the
 engine's exact-merge contracts intact regardless of call shape:
 
 * the vector path only engages for classifications with at least
@@ -41,30 +41,22 @@ Per-backend call/row/time counters feed exec telemetry and the
 
 from __future__ import annotations
 
-import os
 import threading
 import time
 from contextlib import contextmanager
 from typing import Iterator, Sequence
 
 __all__ = [
-    "KERNEL_ENV",
     "VECTOR_MIN_CASES",
     "active_backend",
     "counters",
-    "counters_delta",
     "describe",
-    "force_backend",
     "mask_totals",
     "mask_totals_batch",
     "numpy_available",
     "recovery_totals",
     "recovery_totals_batch",
-    "set_backend",
 ]
-
-#: Backend override: ``auto`` (default), ``numpy``, or ``pure``.
-KERNEL_ENV = "REPRO_KERNEL"
 
 #: Minimum number of enumeration cases (``len(classes)``) before the
 #: vector backend engages.  Below this the per-call numpy overhead
@@ -81,7 +73,7 @@ _MASK_LOST = 0
 _MASK_LATE = 1
 _MASK_ON_TIME = 2
 
-_BACKENDS = ("auto", "numpy", "pure")
+_BACKENDS = ("numpy", "pure")
 
 
 def numpy_available() -> bool:
@@ -105,18 +97,27 @@ def _numpy():
     return _numpy_module
 
 
-_backend_override: str | None = None
+_forced_backend: str | None = None
 
 
-def set_backend(name: str) -> str:
-    """Pin the backend for this process (and, via the env, pool workers).
+def active_backend() -> str:
+    """The backend accumulate calls resolve to: ``numpy`` or ``pure``."""
+    if _forced_backend is not None:
+        return _forced_backend
+    return "numpy" if numpy_available() else "pure"
 
-    ``auto`` restores the default selection.  Returns the *resolved*
-    backend.  Raises ``ValueError`` for unknown names or for ``numpy``
-    when numpy is not importable, so a forced vector run fails loudly
-    instead of silently degrading.
+
+@contextmanager
+def _force_backend(name: str) -> Iterator[str]:
+    """Test seam: run the block on one backend, in this process only.
+
+    Tests and the hot-path benchmark use it to reach the pure reference
+    (or the vector path) regardless of what is installed.  Raises
+    ``ValueError`` for unknown names, and for ``numpy`` when numpy is not
+    importable, so a forced vector run fails loudly instead of silently
+    degrading.
     """
-    global _backend_override
+    global _forced_backend
     if name not in _BACKENDS:
         raise ValueError(
             f"unknown kernel backend {name!r} (choose from "
@@ -124,47 +125,14 @@ def set_backend(name: str) -> str:
         )
     if name == "numpy" and not numpy_available():
         raise ValueError(
-            "kernel backend 'numpy' requested but numpy is not importable "
-            "(pip install repro[fast])"
+            "kernel backend 'numpy' requested but numpy is not importable"
         )
-    _backend_override = None if name == "auto" else name
-    # Export the choice so ProcessPoolExecutor workers -- fresh
-    # interpreters under the spawn start method -- resolve identically.
-    os.environ[KERNEL_ENV] = name
-    return active_backend()
-
-
-def active_backend() -> str:
-    """The backend accumulate calls resolve to: ``numpy`` or ``pure``."""
-    if _backend_override is not None:
-        return _backend_override
-    env = os.environ.get(KERNEL_ENV, "auto")
-    if env == "pure":
-        return "pure"
-    if env == "numpy":
-        if not numpy_available():
-            raise ValueError(
-                f"{KERNEL_ENV}=numpy but numpy is not importable "
-                "(pip install repro[fast])"
-            )
-        return "numpy"
-    return "numpy" if numpy_available() else "pure"
-
-
-@contextmanager
-def force_backend(name: str) -> Iterator[str]:
-    """Temporarily pin the backend (tests and dual-path benchmarks)."""
-    global _backend_override
-    previous_override = _backend_override
-    previous_env = os.environ.get(KERNEL_ENV)
+    previous = _forced_backend
+    _forced_backend = name
     try:
-        yield set_backend(name)
+        yield name
     finally:
-        _backend_override = previous_override
-        if previous_env is None:
-            os.environ.pop(KERNEL_ENV, None)
-        else:
-            os.environ[KERNEL_ENV] = previous_env
+        _forced_backend = previous
 
 
 def describe() -> dict[str, object]:
@@ -193,13 +161,6 @@ def counters() -> dict[str, float]:
     """Snapshot of per-backend call/row/time counters (process-wide)."""
     with _counter_lock:
         return dict(_counters)
-
-
-def counters_delta(
-    before: dict[str, float], after: dict[str, float]
-) -> dict[str, float]:
-    """``after - before``, key by key (telemetry fold helper)."""
-    return {name: after[name] - before[name] for name in after}
 
 
 def _charge(backend: str, rows: int, elapsed: float) -> None:

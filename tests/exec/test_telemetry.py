@@ -93,11 +93,13 @@ class TestSessionAggregation:
 class TestProbCacheCounters:
     def test_to_dict_carries_prob_counters(self):
         payload = _telemetry(
-            prob_hits=6,
-            prob_misses=2,
-            prob_shared_hits=3,
-            prob_mask_hits=1,
-            prob_evicted=4,
+            counters={
+                "prob_hits": 6,
+                "prob_misses": 2,
+                "prob_shared_hits": 3,
+                "prob_mask_hits": 1,
+                "prob_evicted": 4,
+            }
         ).to_dict()
         assert payload["prob_hits"] == 6
         assert payload["prob_misses"] == 2
@@ -110,52 +112,64 @@ class TestProbCacheCounters:
         assert ExecTelemetry().prob_hit_rate == 0.0
 
     def test_totals_sum_prob_counters(self):
-        record(_telemetry(prob_hits=10, prob_misses=5, prob_evicted=1))
         record(
             _telemetry(
-                prob_hits=2,
-                prob_misses=1,
-                prob_shared_hits=2,
-                prob_mask_hits=3,
-                prob_evicted=1,
+                counters={"prob_hits": 10, "prob_misses": 5, "prob_evicted": 1}
             )
         )
-        total = session_totals()
-        assert total.prob_hits == 12
-        assert total.prob_misses == 6
-        assert total.prob_shared_hits == 2
-        assert total.prob_mask_hits == 3
-        assert total.prob_evicted == 2
-
-    def test_summary_table_shows_prob_cache_rows(self):
-        # Satellite (c): eviction telemetry must be user-visible, not
-        # just a counter buried in the JSON payload.
         record(
             _telemetry(
-                prob_hits=8,
-                prob_misses=2,
-                prob_shared_hits=3,
-                prob_mask_hits=5,
-                prob_evicted=7,
+                counters={
+                    "prob_hits": 2,
+                    "prob_misses": 1,
+                    "prob_shared_hits": 2,
+                    "prob_mask_hits": 3,
+                    "prob_evicted": 1,
+                }
+            )
+        )
+        total = session_totals().counters
+        assert total["prob_hits"] == 12
+        assert total["prob_misses"] == 6
+        assert total["prob_shared_hits"] == 2
+        assert total["prob_mask_hits"] == 3
+        assert total["prob_evicted"] == 2
+
+    def test_summary_table_shows_prob_cache_rows(self):
+        # Eviction telemetry must be user-visible, not just a counter
+        # buried in the JSON payload.
+        record(
+            _telemetry(
+                counters={
+                    "prob_hits": 8,
+                    "prob_misses": 2,
+                    "prob_shared_hits": 3,
+                    "prob_mask_hits": 5,
+                    "prob_evicted": 7,
+                }
             )
         )
         collapsed = " ".join(session_summary().split())
-        assert "prob-cache hits/misses 8/2 (80 %)" in collapsed
+        assert "prob-cache hits 8" in collapsed
+        assert "prob-cache misses 2" in collapsed
+        assert "prob-cache hit rate 80 %" in collapsed
         assert "prob-cache shared hits 3" in collapsed
         assert "prob-cache mask hits 5" in collapsed
-        assert "prob-cache evictions 7" in collapsed
+        assert "prob-cache evicted 7" in collapsed
 
 
 class TestKernelCounters:
     def test_to_dict_carries_kernel_fields(self):
         payload = _telemetry(
             kernel_backend="numpy",
-            kernel_vector_calls=4,
-            kernel_pure_calls=2,
-            kernel_vector_rows=40,
-            kernel_pure_rows=2,
-            kernel_vector_s=0.25,
-            kernel_pure_s=0.125,
+            counters={
+                "kernel_vector_calls": 4,
+                "kernel_pure_calls": 2,
+                "kernel_vector_rows": 40,
+                "kernel_pure_rows": 2,
+                "kernel_vector_s": 0.25,
+                "kernel_pure_s": 0.125,
+            },
         ).to_dict()
         assert payload["kernel_backend"] == "numpy"
         assert payload["kernel_vector_calls"] == 4
@@ -169,43 +183,54 @@ class TestKernelCounters:
         record(
             _telemetry(
                 kernel_backend="numpy",
-                kernel_vector_calls=3,
-                kernel_vector_rows=30,
-                kernel_vector_s=0.5,
+                counters={
+                    "kernel_vector_calls": 3,
+                    "kernel_vector_rows": 30,
+                    "kernel_vector_s": 0.5,
+                },
             )
         )
         record(
             _telemetry(
                 kernel_backend="numpy",
-                kernel_vector_calls=1,
-                kernel_pure_calls=2,
-                kernel_vector_rows=5,
-                kernel_pure_rows=2,
-                kernel_vector_s=0.25,
-                kernel_pure_s=0.0625,
+                counters={
+                    "kernel_vector_calls": 1,
+                    "kernel_pure_calls": 2,
+                    "kernel_vector_rows": 5,
+                    "kernel_pure_rows": 2,
+                    "kernel_vector_s": 0.25,
+                    "kernel_pure_s": 0.0625,
+                },
             )
         )
         total = session_totals()
         assert total.kernel_backend == "numpy"
-        assert total.kernel_vector_calls == 4
-        assert total.kernel_pure_calls == 2
-        assert total.kernel_vector_rows == 35
-        assert total.kernel_pure_rows == 2
-        assert total.kernel_vector_s == 0.75
-        assert total.kernel_pure_s == 0.0625
+        assert total.counters["kernel_vector_calls"] == 4
+        assert total.counters["kernel_pure_calls"] == 2
+        assert total.counters["kernel_vector_rows"] == 35
+        assert total.counters["kernel_pure_rows"] == 2
+        assert total.counters["kernel_vector_s"] == 0.75
+        assert total.counters["kernel_pure_s"] == 0.0625
 
     def test_summary_table_shows_kernel_rows(self):
         record(
             _telemetry(
                 kernel_backend="pure",
-                kernel_pure_calls=6,
-                kernel_pure_rows=18,
+                counters={
+                    "kernel_vector_calls": 0,
+                    "kernel_pure_calls": 6,
+                    "kernel_vector_rows": 0,
+                    "kernel_pure_rows": 18,
+                    "kernel_pure_s": 0.5,
+                },
             )
         )
         collapsed = " ".join(session_summary().split())
         assert "kernel backend pure" in collapsed
-        assert "kernel calls (vector/pure) 0/6" in collapsed
-        assert "kernel rows (vector/pure) 0/18" in collapsed
+        assert "kernel vector calls 0" in collapsed
+        assert "kernel pure calls 6" in collapsed
+        assert "kernel pure rows 18" in collapsed
+        assert "kernel pure time 0.50 s" in collapsed
 
 
 class TestScopedSessions:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pytest
+
 from repro.cli import main
 
 
@@ -60,6 +62,34 @@ class TestGracefulErrors:
         code = main(["chaos", "--duration", "3"])
         assert code == 2
         assert "error:" in capsys.readouterr().err
+
+
+    def test_enumeration_cap_is_one_line(self, monkeypatch, capsys):
+        # A flooding graph past the exact-enumeration cap (28 lossy edges
+        # on isp-hier N=100) must end in one line, not a traceback.
+        from repro.simulation.reliability import ReliabilityLimitError
+
+        def capped_replay(*_args, **_kwargs):
+            raise ReliabilityLimitError(
+                "28 lossy edges exceed the exact-enumeration cap (20) "
+                "[graph 'flooding']"
+            )
+
+        monkeypatch.setattr("repro.cli.run_replay_parallel", capped_replay)
+        code = main(["evaluate", "--weeks", "0.01", "--no-cache"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "exact-enumeration cap" in err
+        assert "Traceback" not in err
+        assert len(err.strip().splitlines()) == 1
+
+    def test_kernel_flag_is_gone(self, capsys):
+        for command in (["evaluate"], ["serve"]):
+            with pytest.raises(SystemExit) as excinfo:
+                main(command + ["--kernel", "pure"])
+            assert excinfo.value.code == 2
+            assert "unrecognized arguments: --kernel" in capsys.readouterr().err
 
 
 class TestServeClientErrors:

@@ -160,6 +160,28 @@ class TestRequestFailures:
         with pytest.raises(ServerError, match="scheme"):
             warm_server.run(request)
 
+    def test_enumeration_cap_is_a_400_without_traceback(
+        self, warm_server, monkeypatch, caplog
+    ):
+        # The cap follows from the requested topology and schemes, so it
+        # is the request's fault: a 400 error event, no logged traceback.
+        from repro.simulation.reliability import ReliabilityLimitError
+
+        def capped_replay(*_args, **_kwargs):
+            raise ReliabilityLimitError(
+                "28 lossy edges exceed the exact-enumeration cap (20)"
+            )
+
+        monkeypatch.setattr(
+            "repro.serve.session.run_replay_parallel", capped_replay
+        )
+        request = EvaluateRequest(weeks=0.02, seed=13, schemes=SCHEMES)
+        with caplog.at_level("INFO", logger="repro"):
+            with pytest.raises(ServerError, match="exact-enumeration cap") as info:
+                warm_server.run(request)
+        assert info.value.status == 400
+        assert not [record for record in caplog.records if record.exc_info]
+
     def test_invalid_request_rejected_before_admission(self, warm_server):
         with pytest.raises(ServerError, match="unknown request kind"):
             warm_server.run({"version": 1, "kind": "frobnicate"})

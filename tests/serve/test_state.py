@@ -74,10 +74,7 @@ class TestContextCache:
         totals = cache.prob_counters()
         assert totals["hits"] == 5
         assert totals["misses"] == 2
-        assert set(totals) == {
-            "hits", "misses", "shared_hits", "mask_hits", "evictions",
-            "canonical_evictions",
-        }
+        assert set(totals) == set(context.probability_cache.counters())
 
 
 class TestServeRuntime:
@@ -103,6 +100,6 @@ class TestServeRuntime:
         for key in (
             "context_hits", "context_misses", "context_evictions",
             "context_entries", "prob_hits", "prob_misses",
-            "prob_shared_hits", "prob_mask_hits", "prob_evictions",
+            "prob_shared_hits", "prob_mask_hits", "prob_evicted",
         ):
             assert stats[key] == 0

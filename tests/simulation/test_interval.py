@@ -266,9 +266,9 @@ class TestProbabilityCache:
             cache.probabilities(
                 topology, graph, {("A1", "B1"): LinkState(step / 40.0)}, "s/f1"
             )
-        assert cache.evictions > 0
+        assert cache.evicted > 0
         assert cache._bytes <= 900
-        assert cache.counters()["evictions"] == cache.evictions
+        assert cache.counters()["evicted"] == cache.evicted
 
     def test_unbounded_when_max_bytes_none(self):
         topology = twin_paths_topology()
@@ -280,7 +280,7 @@ class TestProbabilityCache:
             cache.probabilities(
                 topology, graph, {("A1", "B1"): LinkState(step / 40.0)}, "s/f1"
             )
-        assert cache.evictions == 0
+        assert cache.evicted == 0
 
 
 class TestProbCacheEnvKnob:

@@ -104,7 +104,7 @@ class TestConcurrentProbabilityCache:
             thread.start()
         for thread in threads:
             thread.join()
-        assert shared.evictions > 0
+        assert shared.evicted > 0
         assert 0 <= shared._bytes <= 600
         # The tracked footprint must equal the sum of resident entries.
         resident = sum(cost for _result, _owner, cost in shared._entries.values())

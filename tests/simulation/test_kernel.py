@@ -14,7 +14,6 @@ The dual-backend contract under test:
 
 from __future__ import annotations
 
-import os
 import struct
 
 import pytest
@@ -35,6 +34,10 @@ from repro.simulation.reliability import (
 requires_numpy = pytest.mark.skipif(
     not kernel.numpy_available(), reason="numpy backend not installed"
 )
+
+
+def _delta(before: dict, after: dict) -> dict:
+    return {name: after[name] - before[name] for name in after}
 
 
 def _bits(value: float) -> bytes:
@@ -150,37 +153,36 @@ def recovery_cases(draw, max_edges: int = 4):
 class TestBackendSelection:
     def test_unknown_backend_rejected(self):
         with pytest.raises(ValueError, match="unknown kernel backend"):
-            kernel.set_backend("fortran")
+            with kernel._force_backend("fortran"):
+                pass
 
-    def test_force_backend_exports_env_and_restores(self):
-        previous = os.environ.get(kernel.KERNEL_ENV)
-        with kernel.force_backend("pure") as resolved:
+    def test_force_backend_is_scoped_to_the_block(self):
+        default = kernel.active_backend()
+        with kernel._force_backend("pure") as resolved:
             assert resolved == "pure"
             assert kernel.active_backend() == "pure"
-            # Pool workers are fresh interpreters: they resolve the
-            # backend from the environment, which must carry the pin.
-            assert os.environ[kernel.KERNEL_ENV] == "pure"
-        assert os.environ.get(kernel.KERNEL_ENV) == previous
+        assert kernel.active_backend() == default
 
     def test_auto_prefers_numpy_when_available(self):
-        with kernel.force_backend("auto"):
-            expected = "numpy" if kernel.numpy_available() else "pure"
-            assert kernel.active_backend() == expected
+        expected = "numpy" if kernel.numpy_available() else "pure"
+        assert kernel.active_backend() == expected
 
     def test_numpy_request_fails_loudly_without_numpy(self, monkeypatch):
         monkeypatch.setattr(kernel, "_numpy_module", None)
-        monkeypatch.setattr(kernel, "_backend_override", None)
         with pytest.raises(ValueError, match="not importable"):
-            kernel.set_backend("numpy")
-        monkeypatch.setenv(kernel.KERNEL_ENV, "numpy")
-        with pytest.raises(ValueError, match="not importable"):
-            kernel.active_backend()
-        # auto degrades silently -- that is its contract
-        monkeypatch.setenv(kernel.KERNEL_ENV, "auto")
+            with kernel._force_backend("numpy"):
+                pass
+        # the default degrades silently -- that is its contract
         assert kernel.active_backend() == "pure"
 
+    def test_backend_is_not_read_from_the_environment(self, monkeypatch):
+        expected = kernel.active_backend()
+        for value in ("numpy", "pure", "auto"):
+            monkeypatch.setenv("REPRO_KERNEL", value)
+            assert kernel.active_backend() == expected
+
     def test_describe_names_the_contract(self):
-        with kernel.force_backend("pure"):
+        with kernel._force_backend("pure"):
             payload = kernel.describe()
         assert payload["backend"] == "pure"
         assert payload["numpy_available"] == kernel.numpy_available()
@@ -195,7 +197,7 @@ class TestPureBitwise:
     @given(mask_cases())
     def test_mask_totals_match_reference_bitwise(self, case):
         classes, losses = case
-        with kernel.force_backend("pure"):
+        with kernel._force_backend("pure"):
             on_time, eventually = kernel.mask_totals(classes, losses)
         ref_on, ref_event = _reference_mask_totals(classes, losses)
         assert _bits(on_time) == _bits(ref_on)
@@ -205,7 +207,7 @@ class TestPureBitwise:
     @given(recovery_cases())
     def test_recovery_totals_match_reference_bitwise(self, case):
         classes, losses = case
-        with kernel.force_backend("pure"):
+        with kernel._force_backend("pure"):
             on_time, eventually = kernel.recovery_totals(classes, losses)
         ref_on, ref_event = _reference_recovery_totals(classes, losses)
         assert _bits(on_time) == _bits(ref_on)
@@ -214,7 +216,7 @@ class TestPureBitwise:
     def test_batch_equals_singles_bitwise(self):
         classes = bytes((mask * 7) % 3 for mask in range(1 << 5))
         rows = [[0.1 + 0.02 * i] * 5 for i in range(9)]
-        with kernel.force_backend("pure"):
+        with kernel._force_backend("pure"):
             batched = kernel.mask_totals_batch(classes, rows)
             singles = [kernel.mask_totals(classes, row) for row in rows]
         assert [tuple(map(_bits, pair)) for pair in batched] == [
@@ -231,9 +233,9 @@ class TestVectorAgreement:
     @given(mask_cases())
     def test_mask_totals_within_reassociation_tolerance(self, case):
         classes, losses = case
-        with kernel.force_backend("pure"):
+        with kernel._force_backend("pure"):
             pure = kernel.mask_totals(classes, losses)
-        with kernel.force_backend("numpy"):
+        with kernel._force_backend("numpy"):
             # Bypass the size threshold: compare the vector arithmetic
             # itself, not the dispatch decision.
             np = kernel._numpy()
@@ -246,7 +248,7 @@ class TestVectorAgreement:
     @given(recovery_cases())
     def test_recovery_totals_within_reassociation_tolerance(self, case):
         classes, losses = case
-        with kernel.force_backend("pure"):
+        with kernel._force_backend("pure"):
             pure = kernel.recovery_totals(classes, losses)
         np = kernel._numpy()
         weights = kernel._recovery_weights_vector(np, [list(losses)])
@@ -259,7 +261,7 @@ class TestVectorAgreement:
         # path too -- the batch contract is bitwise, not approximate.
         classes = bytes((mask * 5) % 3 for mask in range(1 << 7))
         rows = [[0.05 * (i + 1) % 0.9 + 0.01] * 7 for i in range(11)]
-        with kernel.force_backend("numpy"):
+        with kernel._force_backend("numpy"):
             batched = kernel.mask_totals_batch(classes, rows)
             singles = [kernel.mask_totals(classes, row) for row in rows]
         assert [tuple(map(_bits, pair)) for pair in batched] == [
@@ -271,7 +273,7 @@ class TestVectorAgreement:
         large = bytes(
             (mask * 3) % 3 for mask in range(kernel.VECTOR_MIN_CASES)
         )  # exactly at threshold: vector path
-        with kernel.force_backend("numpy"):
+        with kernel._force_backend("numpy"):
             before = kernel.counters()
             # Many rows of a tiny classification stay pure: the threshold
             # must not flip with batch size, or the same (classification,
@@ -292,11 +294,11 @@ class TestVectorAgreement:
 class TestCounters:
     def test_counters_charge_calls_rows_and_time(self):
         classes = bytes([2, 0])
-        with kernel.force_backend("pure"):
+        with kernel._force_backend("pure"):
             before = kernel.counters()
             kernel.mask_totals_batch(classes, [[0.5]] * 7)
             kernel.mask_totals(classes, [0.5])
-            delta = kernel.counters_delta(before, kernel.counters())
+            delta = _delta(before, kernel.counters())
         assert delta["pure_calls"] == 2
         assert delta["pure_rows"] == 8
         assert delta["pure_s"] >= 0.0
@@ -307,7 +309,7 @@ class TestCounters:
         before = kernel.counters()
         assert kernel.mask_totals_batch(bytes([2, 0]), []) == []
         assert kernel.recovery_totals_batch(bytes([2, 0, 1]), []) == []
-        assert kernel.counters_delta(before, kernel.counters()) == {
+        assert _delta(before, kernel.counters()) == {
             name: 0 for name in before
         }
 
@@ -349,9 +351,9 @@ class TestReliabilityIntegration:
     def test_backends_agree_on_real_classification(self):
         classification, losses = self._classification()
         assert len(classification.classes) == 64  # 6 lossy edges
-        with kernel.force_backend("pure"):
+        with kernel._force_backend("pure"):
             pure = accumulate_mask_probabilities(classification, losses)
-        with kernel.force_backend("numpy"):
+        with kernel._force_backend("numpy"):
             vector = accumulate_mask_probabilities(classification, losses)
         assert vector.on_time == pytest.approx(pure.on_time, abs=1e-9)
         assert vector.eventually == pytest.approx(pure.eventually, abs=1e-9)
@@ -365,7 +367,7 @@ class TestReliabilityIntegration:
         before = kernel.counters()
         results = accumulate_mask_probabilities_batch(classification, [[], []])
         assert results == [classification.certain] * 2
-        assert kernel.counters_delta(before, kernel.counters()) == {
+        assert _delta(before, kernel.counters()) == {
             name: 0 for name in before
         }
 
@@ -378,6 +380,6 @@ class TestReliabilityIntegration:
         before = kernel.counters()
         results = accumulate_recovery_probabilities_batch(classification, [[]])
         assert results == [classification.certain]
-        assert kernel.counters_delta(before, kernel.counters()) == {
+        assert _delta(before, kernel.counters()) == {
             name: 0 for name in before
         }
