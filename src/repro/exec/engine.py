@@ -12,7 +12,10 @@ Failure handling is layered: a shard that raises (or whose worker dies,
 or that exceeds the per-shard timeout) is retried up to ``retries``
 times -- rebuilding the pool when it broke -- and finally falls back to
 in-process serial execution, so a sick pool degrades to the serial
-engine instead of failing the replay.
+engine instead of failing the replay.  The one exception is
+:class:`~repro.simulation.reliability.ReliabilityLimitError`: the
+enumeration cap is a property of the inputs, not of the worker, so it
+surfaces at once without a retry or a fallback run.
 
 ``max_workers=0`` skips the pool entirely and runs every shard
 in-process with the same shared-state reuse as ``run_replay``.
@@ -45,6 +48,7 @@ from repro.netmodel.conditions import ConditionTimeline
 from repro.netmodel.topology import FlowSpec, ServiceSpec
 from repro.routing.registry import STANDARD_SCHEME_NAMES
 from repro.simulation import kernel
+from repro.simulation.reliability import ReliabilityLimitError
 from repro.simulation.results import ReplayConfig, ReplayResult
 from repro.util.validation import require
 
@@ -182,6 +186,10 @@ def _run_pooled(
                     shard_result, shard_wall, counter_delta, worker_spans = (
                         future.result(timeout=shard_timeout_s)
                     )
+                except ReliabilityLimitError:
+                    # Deterministic: a retry or the serial fallback would
+                    # hit the same enumeration cap again.
+                    raise
                 except (BrokenExecutor, concurrent.futures.TimeoutError):
                     # A dead worker or a hung shard poisons the whole pool:
                     # tear it down and rebuild before retrying.

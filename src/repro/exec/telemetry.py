@@ -26,6 +26,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Iterator, Mapping, Sequence
 
+from repro.routing import memo
 from repro.simulation import kernel
 from repro.util.tables import render_table
 
@@ -35,6 +36,7 @@ __all__ = [
     "aggregate_telemetry",
     "counter_snapshot",
     "current_session",
+    "process_counters",
     "record",
     "reset_session",
     "session_records",
@@ -50,26 +52,39 @@ __all__ = [
 _FAMILIES = {
     "prob": ("exec.prob_cache", "prob-cache"),
     "kernel": ("replay.kernel", "kernel"),
+    "route": ("routing.memo", "route-memo"),
 }
+
+
+def _flatten(sources: Mapping[str, Mapping[str, float]]) -> dict[str, float]:
+    return {
+        f"{family}_{name}": value
+        for family, source in sources.items()
+        for name, value in source.items()
+    }
+
+
+def process_counters() -> dict[str, float]:
+    """The process-wide replay counters right now, keyed ``<family>_<name>``.
+
+    The kernel's (:func:`repro.simulation.kernel.counters`) and the
+    routing memo's (:func:`repro.routing.memo.counters`): one set per
+    process, shared by every replay and serve request in it.
+    """
+    return _flatten({"kernel": kernel.counters(), "route": memo.counters()})
 
 
 def counter_snapshot(probability_cache) -> dict[str, float]:
     """Every replay counter right now, keyed ``<family>_<name>``.
 
     The sources name their own counters -- the context's probability
-    memo (``_ProbabilityCache.counters()``) and the process-wide kernel
-    (:func:`repro.simulation.kernel.counters`) -- so a counter added at
-    its source reaches telemetry, manifests and metrics with no edit
-    anywhere downstream.
+    memo (``_ProbabilityCache.counters()``) and the process-wide ones of
+    :func:`process_counters` -- so a counter added at its source reaches
+    telemetry, manifests and metrics with no edit anywhere downstream.
     """
-    sources = {
-        "prob": probability_cache.counters(),
-        "kernel": kernel.counters(),
-    }
     return {
-        f"{family}_{name}": value
-        for family, source in sources.items()
-        for name, value in source.items()
+        **_flatten({"prob": probability_cache.counters()}),
+        **process_counters(),
     }
 
 
@@ -86,7 +101,7 @@ class ExecTelemetry:
 
     ``counters`` holds the summed per-shard deltas of every replay
     counter (see :func:`counter_snapshot`), keyed ``<family>_<name>``
-    (``prob_hits``, ``kernel_vector_rows``, ...).
+    (``prob_hits``, ``kernel_vector_rows``, ``route_evicted``, ...).
     """
 
     label: str = "replay"

@@ -15,13 +15,15 @@ makes whole multi-week replays exactly reproducible.
 from __future__ import annotations
 
 import abc
+from types import MappingProxyType
 from typing import Mapping
 
 from repro.core.dgraph import DisseminationGraph
 from repro.core.graph import Edge, NodeId, Topology
 from repro.netmodel.conditions import LinkState
 from repro.netmodel.topology import FlowSpec, ServiceSpec
-from repro.util.validation import require
+from repro.routing import memo
+from repro.util.validation import fail, require
 
 __all__ = [
     "RoutingPolicy",
@@ -137,12 +139,13 @@ class RoutingPolicy(abc.ABC):
         Callers that pass deltas are responsible for their accuracy: an
         understated delta silently yields stale decisions.
         """
-        require(self._topology is not None, f"policy {self.name} is not attached")
-        require(
-            now_s >= self._last_update_s,
-            f"policy updates must move forward in time "
-            f"({now_s} < {self._last_update_s})",
-        )
+        if self._topology is None:
+            fail(f"policy {self.name} is not attached")
+        if not now_s >= self._last_update_s:
+            fail(
+                f"policy updates must move forward in time "
+                f"({now_s} < {self._last_update_s})"
+            )
         self._last_update_s = now_s
         self._observed_changed = changed
         return self._decide(now_s, observed)
@@ -231,13 +234,30 @@ def timely_edge_latencies(
     observed: Mapping[Edge, LinkState],
     source: NodeId,
     destination: NodeId,
-) -> dict[Edge, float]:
+) -> Mapping[Edge, float]:
     """Best source->edge->destination through-latency per reachable edge.
 
     The quantity :func:`on_time_edges` thresholds, exposed so callers
     that must *rank* edges (candidate pruning at large N) reuse the same
-    two Dijkstra passes instead of running their own.
+    two Dijkstra passes instead of running their own.  The map depends
+    only on the topology, the endpoints and the latency inflations, and
+    is memoized on exactly those (:mod:`repro.routing.memo`); it is
+    read-only because every caller shares it.
     """
+    return memo.cached(
+        memo.latency_key("timely", topology, observed, source, destination),
+        lambda: MappingProxyType(
+            _through_latencies(topology, observed, source, destination)
+        ),
+    )
+
+
+def _through_latencies(
+    topology: Topology,
+    observed: Mapping[Edge, LinkState],
+    source: NodeId,
+    destination: NodeId,
+) -> dict[Edge, float]:
     from repro.core.algorithms import single_source_distances
     from repro.core.algorithms.adjacency import reverse_adjacency
 

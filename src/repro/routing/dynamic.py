@@ -12,7 +12,9 @@ option is used rather than giving up.
 
 Decisions are cached on the observed degraded-edge fingerprint: replay
 engines call ``update`` at every segment boundary, and most boundaries do
-not change the relevant view.
+not change the relevant view.  The path searches behind a changed
+fingerprint go through :mod:`repro.routing.memo`, shared with every other
+flow and scheme.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from repro.core.algorithms import NoPathError, disjoint_paths, shortest_path
 from repro.core.dgraph import DisseminationGraph
 from repro.core.graph import Edge
 from repro.netmodel.conditions import LinkState
+from repro.routing import memo
 from repro.routing.base import (
     RoutingPolicy,
     degraded_edge_set,
@@ -118,16 +121,19 @@ class DynamicSinglePathPolicy(_DynamicPolicyBase):
     def _recompute(
         self, observed: Mapping[Edge, LinkState], degraded: frozenset[Edge]
     ) -> DisseminationGraph:
+        topology = self.topology
         source, destination = self.flow.source, self.flow.destination
-        adjacency = observed_adjacency(self.topology, observed, exclude=degraded)
         try:
-            path, _latency = shortest_path(adjacency, source, destination)
+            path = memo.shortest(
+                shortest_path, observed_adjacency, topology, observed,
+                source, destination, exclude=memo.edge_mask(topology, degraded),
+            )
         except NoPathError:
             # Unavoidable loss: pick the least-lossy path instead.
-            penalized = observed_adjacency(
-                self.topology, observed, penalize_loss=True
+            path = memo.shortest(
+                shortest_path, observed_adjacency, topology, observed,
+                source, destination, penalize_loss=True,
             )
-            path, _latency = shortest_path(penalized, source, destination)
         return DisseminationGraph.from_path(path, name=self.name)
 
 
@@ -147,16 +153,19 @@ class DynamicTwoDisjointPolicy(_DynamicPolicyBase):
     def _recompute(
         self, observed: Mapping[Edge, LinkState], degraded: frozenset[Edge]
     ) -> DisseminationGraph:
+        topology = self.topology
         source, destination = self.flow.source, self.flow.destination
-        adjacency = observed_adjacency(self.topology, observed, exclude=degraded)
-        paths = disjoint_paths(adjacency, source, destination, k=self.k)
+        paths = memo.disjoint(
+            disjoint_paths, observed_adjacency, topology, observed,
+            source, destination, self.k, exclude=memo.edge_mask(topology, degraded),
+        )
         if len(paths) < self.k:
             # Not enough clean disjoint paths: re-admit lossy links with a
             # surcharge so the pairing maximises cleanliness first.
-            penalized = observed_adjacency(
-                self.topology, observed, penalize_loss=True
+            paths = memo.disjoint(
+                disjoint_paths, observed_adjacency, topology, observed,
+                source, destination, self.k, penalize_loss=True,
             )
-            paths = disjoint_paths(penalized, source, destination, k=self.k)
         if not paths:  # pragma: no cover - topology is connected by contract
             raise NoPathError(source, destination)
         return DisseminationGraph.from_paths(paths, name=self.name)

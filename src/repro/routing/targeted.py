@@ -32,6 +32,7 @@ from repro.core.detection import ProblemClassifier, ProblemDetector, ProblemType
 from repro.core.dgraph import DisseminationGraph
 from repro.core.graph import Edge
 from repro.netmodel.conditions import LinkState
+from repro.routing import memo
 from repro.routing.base import (
     RoutingPolicy,
     degraded_edge_set,
@@ -203,7 +204,11 @@ class TargetedRedundancyPolicy(RoutingPolicy):
         return max(64, 4 * self.topology.num_nodes)
 
     def _candidate_edges(self, observed: Mapping[Edge, LinkState]) -> frozenset[Edge]:
-        """Timely candidate edges for re-routing, beam-capped at scale.
+        """Timely candidate edges for re-routing, beam-capped at scale."""
+        return memo.mask_edges(self.topology, self._candidate_mask(observed))
+
+    def _candidate_mask(self, observed: Mapping[Edge, LinkState]) -> int:
+        """:meth:`_candidate_edges` as an edge bitmask (:mod:`repro.routing.memo`).
 
         This is the targeted search's hot spot on large topologies (two
         Dijkstra passes over the full mesh plus a disjoint-path search
@@ -213,29 +218,40 @@ class TargetedRedundancyPolicy(RoutingPolicy):
         than the cap admits, the best by through-latency win (ties by
         edge name) -- pruning the longest detours first, which are the
         edges a deadline-meeting disjoint pair is least likely to use.
+        The set depends only on what the through-latency map depends on,
+        plus the deadline and the cap, and is memoized on exactly those.
         """
         obs = self.obs
         start_s = obs.tracer.now() if obs is not None else 0.0
-        through = timely_edge_latencies(
-            self.topology, observed, self.flow.source, self.flow.destination
-        )
+        topology = self.topology
+        source, destination = self.flow.source, self.flow.destination
         deadline = self.service.deadline_ms
-        timely = [edge for edge, ms in through.items() if ms <= deadline]
         cap = self.candidate_cap
-        if len(timely) > cap:
-            timely.sort(key=lambda edge: (through[edge], edge))
-            kept = frozenset(timely[:cap])
-        else:
-            kept = frozenset(timely)
+
+        def rank() -> tuple[int, int]:
+            through = timely_edge_latencies(topology, observed, source, destination)
+            timely = [edge for edge, ms in through.items() if ms <= deadline]
+            if len(timely) > cap:
+                timely.sort(key=lambda edge: (through[edge], edge))
+                return memo.edge_mask(topology, timely[:cap]), len(timely)
+            return memo.edge_mask(topology, timely), len(timely)
+
+        kept_mask, considered = memo.cached(
+            memo.latency_key(
+                "candidates", topology, observed, source, destination, deadline, cap
+            ),
+            rank,
+        )
         if obs is not None:
+            kept = kept_mask.bit_count()
             metrics = obs.metrics
             metrics.counter("routing.targeted.candidates.considered").inc(
-                len(timely)
+                considered
             )
-            metrics.counter("routing.targeted.candidates.kept").inc(len(kept))
-            if len(timely) > len(kept):
+            metrics.counter("routing.targeted.candidates.kept").inc(kept)
+            if considered > kept:
                 metrics.counter("routing.targeted.candidates.pruned").inc(
-                    len(timely) - len(kept)
+                    considered - kept
                 )
             obs.tracer.complete(
                 "targeted.candidates",
@@ -243,11 +259,11 @@ class TargetedRedundancyPolicy(RoutingPolicy):
                 start_s,
                 obs.tracer.now(),
                 flow=self.flow.name,
-                considered=len(timely),
-                kept=len(kept),
+                considered=considered,
+                kept=kept,
                 cap=cap,
             )
-        return kept
+        return kept_mask
 
     def _sticky_degraded(self, now_s: float) -> frozenset[Edge]:
         """Edges seen degraded within the hold-down window."""
@@ -268,7 +284,7 @@ class TargetedRedundancyPolicy(RoutingPolicy):
         meet the deadline at observed latencies.
         """
         degraded = self._sticky_degraded(now_s)
-        timely = self._candidate_edges(observed)
+        timely = self._candidate_mask(observed)
         inflated = tuple(
             sorted(
                 (edge, state.extra_latency_ms)
@@ -279,25 +295,27 @@ class TargetedRedundancyPolicy(RoutingPolicy):
         cache_key = (degraded, timely, inflated)
         if cache_key == self._middle_cache_key and self._middle_cache_graph:
             return self._middle_cache_graph
+        topology = self.topology
         source, destination = self.flow.source, self.flow.destination
-        not_timely = frozenset(self.topology.edges) - timely
-        adjacency = observed_adjacency(
-            self.topology, observed, exclude=degraded | not_timely
+        not_timely = memo.full_mask(topology) & ~timely
+        paths = memo.disjoint(
+            disjoint_paths, observed_adjacency, topology, observed,
+            source, destination, 2,
+            exclude=memo.edge_mask(topology, degraded) | not_timely,
         )
-        paths = disjoint_paths(adjacency, source, destination, k=2)
         if len(paths) < 2 and not_timely:
             # No clean timely pair: re-admit lossy-but-timely edges with a
             # loss surcharge so the pairing maximises cleanliness.
-            penalized = observed_adjacency(
-                self.topology, observed, exclude=not_timely, penalize_loss=True
+            paths = memo.disjoint(
+                disjoint_paths, observed_adjacency, topology, observed,
+                source, destination, 2, exclude=not_timely, penalize_loss=True,
             )
-            paths = disjoint_paths(penalized, source, destination, k=2)
         if len(paths) < 2:
             # Deadline unmeetable on two paths: best effort over everything.
-            penalized = observed_adjacency(
-                self.topology, observed, penalize_loss=True
+            paths = memo.disjoint(
+                disjoint_paths, observed_adjacency, topology, observed,
+                source, destination, 2, penalize_loss=True,
             )
-            paths = disjoint_paths(penalized, source, destination, k=2)
         if not paths:  # pragma: no cover - topology is connected by contract
             raise NoPathError(source, destination)
         graph = DisseminationGraph.from_paths(paths, name=f"{self.name}/reroute")

@@ -31,6 +31,7 @@ from repro.core.graph import Topology
 from repro.exec.cache import ResultCache
 from repro.exec.hashing import context_key
 from repro.exec.plan import ShardContext
+from repro.exec.telemetry import process_counters
 from repro.netmodel.conditions import ConditionTimeline
 from repro.netmodel.topology import FlowSpec, ServiceSpec
 from repro.simulation.interval import _ProbabilityCache
@@ -155,12 +156,18 @@ class ServeRuntime:
         return self._reference.select_flows(names, default)
 
     def cache_stats(self) -> dict[str, object]:
-        """Server-lifetime cache counters (the ``serve.cache.*`` source)."""
+        """Server-lifetime cache counters (the ``serve.cache.*`` source).
+
+        Context LRU, resident probability memos, and the process-wide
+        replay counters (kernel, routing memo), which live as long as
+        the server does.
+        """
         stats: dict[str, object] = {
             f"context_{name}": value
             for name, value in self.contexts.counters().items()
         }
         for name, value in self.contexts.prob_counters().items():
             stats[f"prob_{name}"] = value
+        stats.update(process_counters())
         stats["disk_cache"] = self.result_cache is not None
         return stats

@@ -25,7 +25,7 @@ from typing import Callable, Sequence
 from repro.core.dgraph import DisseminationGraph
 from repro.core.graph import Edge, NodeId
 from repro.simulation import kernel
-from repro.util.validation import require
+from repro.util.validation import fail
 
 __all__ = [
     "DeliveryProbabilities",
@@ -63,11 +63,11 @@ class DeliveryProbabilities:
     eventually: float
 
     def __post_init__(self) -> None:
-        require(
-            -1e-9 <= self.on_time <= self.eventually + 1e-9,
-            f"inconsistent probabilities: on_time={self.on_time}, "
-            f"eventually={self.eventually}",
-        )
+        if not -1e-9 <= self.on_time <= self.eventually + 1e-9:
+            fail(
+                f"inconsistent probabilities: on_time={self.on_time}, "
+                f"eventually={self.eventually}"
+            )
 
     @property
     def late(self) -> float:
@@ -125,7 +125,8 @@ def classify_delivery_masks(
     slots (in slot order), so :func:`accumulate_mask_probabilities` can
     finish the computation without consulting ``loss_of`` again.
     """
-    require(deadline_ms > 0, f"deadline must be positive, got {deadline_ms}")
+    if not deadline_ms > 0:
+        fail(f"deadline must be positive, got {deadline_ms}")
     edges, rank, adjacency = _index_graph(graph)
     latencies: list[float] = []
     present: list[bool] = []
@@ -133,9 +134,11 @@ def classify_delivery_masks(
     losses: list[float] = []
     for slot, edge in enumerate(edges):
         loss = loss_of(edge)
-        require(0.0 <= loss <= 1.0, f"loss out of range on {edge!r}: {loss}")
+        if not 0.0 <= loss <= 1.0:
+            fail(f"loss out of range on {edge!r}: {loss}")
         latency = latency_of(edge)
-        require(latency >= 0.0, f"negative latency on {edge!r}: {latency}")
+        if not latency >= 0.0:
+            fail(f"negative latency on {edge!r}: {latency}")
         latencies.append(latency)
         # Certain edges: zero loss always survives, total loss never does;
         # fractional-loss slots are toggled during enumeration.
@@ -339,14 +342,16 @@ def classify_recovery_states(
     slot order) so :func:`accumulate_recovery_probabilities` can finish
     without consulting ``loss_of`` again.
     """
-    require(deadline_ms > 0, f"deadline must be positive, got {deadline_ms}")
+    if not deadline_ms > 0:
+        fail(f"deadline must be positive, got {deadline_ms}")
     edges, rank, adjacency = _index_graph(graph)
     latency: list[float] = []
     present: list[bool] = []
     lossy: list[tuple[int, float]] = []
     for slot, edge in enumerate(edges):
         loss = loss_of(edge)
-        require(0.0 <= loss <= 1.0, f"loss out of range on {edge!r}: {loss}")
+        if not 0.0 <= loss <= 1.0:
+            fail(f"loss out of range on {edge!r}: {loss}")
         latency.append(latency_of(edge))
         # Zero loss always survives; total loss never does (even the
         # retransmission is lost: permanently dead).

@@ -1,8 +1,9 @@
 """Replay counters: one path from their source to every report.
 
-A counter is named once, where it is counted (the probability memo's
-``counters()`` and the kernel's ``counters()``); telemetry, the summary
-table, run manifests and obs metrics carry whatever those return.
+A counter is named once, where it is counted (the probability memo's,
+the kernel's and the routing memo's ``counters()``); telemetry, the
+summary table, run manifests, obs metrics and serve's cache stats carry
+whatever those return.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import pytest
 
 from repro.exec.telemetry import aggregate_telemetry
 from repro.obs import Observability
+from repro.routing import memo
 from repro.simulation.interval import (
     PROB_CANONICAL_MAX_ENTRIES_ENV,
     _ProbabilityCache,
@@ -78,6 +80,66 @@ class TestCounterPath:
             obs.metrics.value("exec.prob_cache.canonical_evictions")
             == evictions
         )
+
+
+class TestRouteCounters:
+    def test_route_memo_counters_reach_every_report(self):
+        memo.clear()
+        obs = Observability()
+        _result, telemetry = _run(obs)
+        reported = telemetry.to_dict()
+        misses, hits = reported["route_misses"], reported["route_hits"]
+        assert misses > 0 and hits > 0
+        assert reported["route_evicted"] == 0
+        table = _collapsed(telemetry)
+        assert f"route-memo misses {misses}" in table
+        assert f"route-memo hits {hits}" in table
+        assert obs.metrics.value("routing.memo.misses") == misses
+        assert obs.metrics.value("routing.memo.hits") == hits
+
+    def test_warm_memo_turns_misses_into_hits(self):
+        from repro.exec.engine import run_replay_parallel
+        from tests.exec.test_plan import SMALL_SCHEMES
+
+        case = small_case()
+
+        def run():
+            return run_replay_parallel(
+                *case, SMALL_SCHEMES, max_workers=0, use_cache=False
+            )[1]
+
+        memo.clear()
+        cold, warm = run(), run()
+        assert cold.counters["route_misses"] > 0
+        assert warm.counters["route_misses"] == 0
+        # A hit on a derived value (targeted's candidate set) skips the
+        # lookups its miss made, so the warm run looks up no more.
+        assert 0 < warm.counters["route_hits"] <= (
+            cold.counters["route_hits"] + cold.counters["route_misses"]
+        )
+
+    def test_route_memo_evictions_are_reported(self, monkeypatch):
+        # The entry cap is a hard limit: when it binds, every report says so.
+        monkeypatch.setattr(memo, "MAX_ENTRIES", 1)
+        memo.clear()
+        obs = Observability()
+        _result, telemetry = _run(obs)
+        evicted = telemetry.to_dict()["route_evicted"]
+        assert evicted > 0
+        assert f"route-memo evicted {evicted}" in _collapsed(telemetry)
+        assert obs.metrics.value("routing.memo.evicted") == evicted
+        memo.clear()
+
+    def test_serve_cache_stats_carry_process_counters(self):
+        from repro.serve.state import ServeRuntime
+
+        runtime = ServeRuntime(use_disk_cache=False)
+        before = memo.counters()
+        stats = runtime.cache_stats()
+        after = memo.counters()
+        for name in ("hits", "misses", "evicted"):
+            assert before[name] <= stats[f"route_{name}"] <= after[name]
+        assert "kernel_vector_calls" in stats
 
 
 @pytest.mark.slow

@@ -163,6 +163,30 @@ class TestFailurePaths:
         assert telemetry.shards_fallback == telemetry.shards_total
 
 
+class TestEnumerationCap:
+    def test_capped_shard_runs_once_and_surfaces(self, monkeypatch):
+        # The enumeration cap is a property of the inputs: a retry or the
+        # serial fallback would only pay for the same failure again.
+        from repro.exec.plan import ShardContext
+        from repro.simulation.reliability import ReliabilityLimitError
+
+        original = ShardContext.run
+        runs = []
+
+        def capped(self, shard, *args, **kwargs):
+            if shard.scheme == SMALL_SCHEMES[0]:
+                runs.append(shard.label)
+                raise ReliabilityLimitError("injected enumeration cap")
+            return original(self, shard, *args, **kwargs)
+
+        monkeypatch.setattr(ShardContext, "run", capped)
+        pools = []
+        with pytest.raises(ReliabilityLimitError, match="injected"):
+            run_engine(make_factory(pools), retries=2)
+        assert len(runs) == 1
+        assert len(pools) == 1
+
+
 class TestCachingEndToEnd:
     def test_cold_then_warm_then_corrupted(self, tmp_path):
         topology, timeline, flows, service = small_case()
